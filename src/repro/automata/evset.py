@@ -261,9 +261,10 @@ class DeterministicEVA:
         "set_trans",
         "variables",
         "functional",
-        # weak-referenceable: the shared char-table store is keyed on the
-        # automaton instance without pinning it alive
-        "__weakref__",
+        # per-character (σ, T, T_em) tables shared by every compressed
+        # evaluator of this automaton (repro.slp.spanner_eval), built on
+        # first use and living exactly as long as the automaton
+        "char_tables",
     )
 
     def __init__(
@@ -283,6 +284,7 @@ class DeterministicEVA:
         self.set_trans = set_trans
         self.variables = variables
         self.functional = functional
+        self.char_tables = None
 
     @property
     def num_states(self) -> int:

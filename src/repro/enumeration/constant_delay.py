@@ -89,7 +89,10 @@ class Enumerator:
     def enumerate_emissions(
         self, index: ProductIndex, budget=None
     ) -> Iterator[tuple[tuple[int, object], ...]]:
-        """Enumerate outputs as tuples of (span position, marker) emissions."""
+        """Enumerate outputs as tuples of (span position, marker) emissions.
+
+        A :class:`~repro.util.Budget` is charged one step per jump of the
+        index's jump pointers and one per useful marker-set edge."""
         det = self.det
         n = index.length
 
@@ -101,7 +104,9 @@ class Enumerator:
         # the document length on pathological ones — never recurse).  Each
         # frame pairs the suspended chain with the emissions accumulated on
         # the path down to it.
-        stack: list[tuple[Iterator, tuple]] = [(index.chain(start, 0), ())]
+        stack: list[tuple[Iterator, tuple]] = [
+            (index.chain(start, 0, budget), ())
+        ]
         while stack:
             chain_iter, prefix = stack[-1]
             descended = False
@@ -116,7 +121,9 @@ class Enumerator:
                 if j < n:
                     after_char = index.char_next[j][target]
                     if after_char != _NO_STATE:
-                        stack.append((index.chain(after_char, j + 1), emitted))
+                        stack.append(
+                            (index.chain(after_char, j + 1, budget), emitted)
+                        )
                         descended = True
                         break
             if not descended:

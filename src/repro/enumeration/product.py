@@ -167,17 +167,22 @@ class ProductIndex:
             if bp[targets[k]]
         ]
 
-    def chain(self, state: int, position: int) -> Iterator[tuple[int, frozenset, int]]:
+    def chain(
+        self, state: int, position: int, budget=None
+    ) -> Iterator[tuple[int, frozenset, int]]:
         """Iterate all useful marker-set transitions reachable from
         (state, position) by a marker-free run, in position order.
 
         Yields ``(j, block, target)`` triples.  Between two consecutive
-        yields only O(1) work happens thanks to the jump pointers.
+        yields only O(1) work happens thanks to the jump pointers; a
+        :class:`~repro.util.Budget` is charged one step per jump.
         """
         n = self.length
         nxt_pos = self.nxt_pos
         nxt_state = self.nxt_state
         while True:
+            if budget is not None:
+                budget.step()
             j = int(nxt_pos[position, state])
             if j < 0:
                 return

@@ -9,7 +9,9 @@ the dependency-light layer those matrices live on:
   uint64 bit-words (:class:`BitMatrix`), continuation vectors packed the
   same way (:class:`PackedVec`), and the primitives every consumer is
   wired onto: boolean matrix product (:func:`bool_mm`), the wave-batched,
-  duplicate-collapsing product (:func:`bool_mm_many`), packed mat-vec
+  duplicate-collapsing product (:func:`bool_mm_many`), the batched
+  ``(σ, T, T_em)`` pair combine shared by SLP preprocessing and the
+  plain-text fold (:func:`combine_entries`), packed mat-vec
   (:func:`matvec`), row selection through a pure transition function
   (:func:`compose_rows`), and σ-scatter (:func:`function_bits`).  The
   seed float32 product is retained as :func:`reference_mm` so packed
@@ -28,6 +30,7 @@ from repro.kernels.bitmat import (
     PackedVec,
     bool_mm,
     bool_mm_many,
+    combine_entries,
     compose_rows,
     function_bits,
     function_bits_many,
@@ -56,6 +59,7 @@ __all__ = [
     "PlanCache",
     "bool_mm",
     "bool_mm_many",
+    "combine_entries",
     "compose_rows",
     "configure_plan_cache",
     "function_bits",

@@ -12,30 +12,25 @@ Products still go through BLAS — a float32 matmul is exact for 0/1
 matrices with |Q| < 2²⁴ and is the fastest primitive numpy exposes — but
 the kernels change *how much* of it runs:
 
-* operands keep a cached float32 mirror (:meth:`BitMatrix.f32`), so a
-  matrix is converted at most once per preprocessing pass instead of once
-  per product it participates in (the seed converted both operands on
-  every multiply);
 * :func:`bool_mm_many` multiplies a whole *wave* of independent SLP nodes
-  in one batched ``np.matmul`` after collapsing duplicate operand pairs —
-  on repetitive documents (the reason SLPs exist) most of a wave's
-  products are verbatim repeats of each other and are computed once;
-* the result is clamped in place and packed in one batched ``packbits``,
-  so downstream nodes start from warm operands.
+  in one batched product, and :func:`combine_entries` does the same for
+  the ``(σ, T, T_em)`` pair combine shared by SLP preprocessing and the
+  plain-text fold of :mod:`repro.parallel.fold`.  Both run one kernel:
+  up to 128 states a stacked unpack-and-matmul, above it one 2-D GEMM per
+  pair over cached float32 mirrors (:meth:`BitMatrix.f32`), so a matrix
+  is converted at most once per preprocessing pass instead of once per
+  product it participates in (the seed converted both operands on every
+  multiply);
+* the result is packed in one batched ``packbits``.
 
-Duplicate collapsing is a two-tier scheme.  Within a wave, operand pairs
-are grouped by *object identity* — a dict lookup per pair, no hashing of
-matrix content on the hot path.  Identity grouping alone would miss
-equal-content matrices produced by different subtrees, so every distinct
-result can be pushed through an *intern pool* (the ``intern`` argument):
-results are fingerprinted with a multiply-fold and looked up in the
-pool, and an exact word-for-word comparison decides whether to reuse the
-pooled object.  Because SLP waves are processed level by level, interning
-a result at level ``k`` canonicalises it before any level ``k+1`` pair
-references it — so identity grouping downstream captures exactly the
-duplicates content hashing would, at a fraction of the cost.  The
-fingerprint is never trusted: a collision lands both matrices in the
-same bucket, and the exact comparison keeps them distinct.
+Duplicate collapsing is a two-tier scheme.  Operand pairs are grouped by
+*object identity* — a dict lookup per pair, no hashing of matrix content
+on the hot path — and equal-content matrices produced by different
+subtrees are made one object by *interning* them (:func:`intern_many`: a
+multiply-fold fingerprint, then an exact word-for-word comparison, so a
+collision never merges unequal matrices).  The SLP fold
+(:class:`repro.slp.fold.ArenaFold`) interns every wave it gets back from
+these kernels.
 
 :func:`reference_mm` / :func:`reference_compose_pure` retain the seed
 float32 semantics verbatim; the differential test suite and the
@@ -53,6 +48,7 @@ __all__ = [
     "PackedVec",
     "bool_mm",
     "bool_mm_many",
+    "combine_entries",
     "compose_rows",
     "function_bits",
     "function_bits_many",
@@ -280,66 +276,103 @@ def intern_many(pool: dict, matrices: list[BitMatrix]) -> list[BitMatrix]:
     ]
 
 
-def bool_mm_many(
-    pairs: list[tuple[BitMatrix, BitMatrix]],
-    intern: dict | None = None,
-) -> list[BitMatrix]:
-    """Product of every (A, B) pair — one batched BLAS call per wave.
-
-    Pairs whose operands are the *same objects* are computed once and
-    share one result.  With an ``intern`` pool (a plain dict the caller
-    keeps for the duration of one preprocessing pass), each distinct
-    result is additionally canonicalised by content, so equal matrices
-    produced by different subtrees become one object — which is what
-    makes the identity grouping catch them in every later wave.
-    """
-    m = len(pairs)
-    if m == 0:
-        return []
+def _distinct_pairs(pairs) -> tuple[list, list[int]]:
+    """Group operand pairs by object identity: ``(distinct, inverse)``
+    with ``pairs[k]`` equal to ``distinct[inverse[k]]``.  Records the
+    ``kernels.mm`` / ``kernels.mm_collapsed`` counters."""
     group_of: dict[tuple[int, int], int] = {}
-    distinct: list[tuple[BitMatrix, BitMatrix]] = []
+    distinct: list = []
     inverse: list[int] = []
     for ab in pairs:
-        ident = (id(ab[0]), id(ab[1]))
-        g = group_of.get(ident)
-        if g is None:
-            g = len(distinct)
-            group_of[ident] = g
+        g = group_of.setdefault((id(ab[0]), id(ab[1])), len(distinct))
+        if g == len(distinct):
             distinct.append(ab)
         inverse.append(g)
-    d = len(distinct)
     if obs.enabled():
         registry = obs.metrics()
-        registry.counter("kernels.mm").inc(d)
-        registry.counter("kernels.mm_collapsed").inc(m - d)
-    q = distinct[0][1].q
-    if d > 1 and q <= _BATCH_MM_MAX_Q:
-        a32 = np.stack([a.f32() for a, _ in distinct])
-        b32 = np.stack([b.f32() for _, b in distinct])
-        c32 = np.matmul(a32, b32)
+        registry.counter("kernels.mm").inc(len(distinct))
+        registry.counter("kernels.mm_collapsed").inc(len(pairs) - len(distinct))
+    return distinct, inverse
+
+
+def _as_f32(matrix, q: int) -> np.ndarray:
+    if isinstance(matrix, BitMatrix):
+        return matrix.f32()
+    return unpack_rows(matrix, q).astype(np.float32)
+
+
+def _pair_products(a, b, q: int) -> np.ndarray:
+    """Packed boolean products ``a[k] @ b[k]`` as one (m, q, w) stack —
+    the one batched product kernel.
+
+    *a* and *b* are both packed (m, q, w) stacks or both lists of
+    :class:`BitMatrix`.  Up to :data:`_BATCH_MM_MAX_Q` states the operands
+    are unpacked into one stacked float32 matmul and no mirror is kept.
+    Above it each pair is one 2-D BLAS GEMM, and list operands go through
+    their cached :meth:`BitMatrix.f32` mirrors, which an SLP pass reuses
+    wherever a node matrix is an operand more than once."""
+    if q <= _BATCH_MM_MAX_Q:
+        if not isinstance(a, np.ndarray):
+            a = np.stack([x.rows for x in a])
+            b = np.stack([y.rows for y in b])
+        product = np.matmul(
+            unpack_rows(a, q).astype(np.float32),
+            unpack_rows(b, q).astype(np.float32),
+        ) > 0.5
     else:
-        # Above the crossover, per-slice 2-D products hit the tuned BLAS
-        # GEMM path (numpy's stacked matmul does not); clamping, packing
-        # and fingerprinting still happen once for the whole wave below.
-        c32 = np.empty((d, q, q), dtype=np.float32)
-        for k, (a, b) in enumerate(distinct):
-            c32[k] = a.f32() @ b.f32()
-    c32, cb = _clamped(c32)
-    packed = pack_rows(cb)
-    results = [
-        BitMatrix(packed[k], q, f32=c32[k], bools=cb[k]) for k in range(d)
-    ]
-    if intern is not None:
-        keys = _fold_keys(packed)
-        interned = 0
-        for k in range(d):
-            canonical = intern_matrix(intern, results[k], key=int(keys[k]))
-            if canonical is not results[k]:
-                results[k] = canonical
-                interned += 1
-        if interned and obs.enabled():
-            obs.metrics().counter("kernels.mm_interned").inc(interned)
+        product = np.empty((len(a), q, q), dtype=bool)
+        for k in range(len(a)):
+            product[k] = (_as_f32(a[k], q) @ _as_f32(b[k], q)) > 0.5
+    return pack_rows(product)
+
+
+def bool_mm_many(pairs: list[tuple[BitMatrix, BitMatrix]]) -> list[BitMatrix]:
+    """Product of every (A, B) pair — one batched product per wave
+    (:func:`_pair_products`).
+
+    Pairs whose operands are the *same objects* are computed once and
+    share one result."""
+    if not pairs:
+        return []
+    distinct, inverse = _distinct_pairs(pairs)
+    q = distinct[0][1].q
+    packed = _pair_products(
+        [a for a, _ in distinct], [b for _, b in distinct], q
+    )
+    results = [BitMatrix(packed[k], q) for k in range(len(distinct))]
     return [results[g] for g in inverse]
+
+
+def combine_entries(sig_l, t_em_l, sig_r, t_r, t_em_r, q: int, dead: int = -1):
+    """Batched pair combine of ``(σ, T, T_em)`` entries, m pairs at once.
+
+    The one implementation of the algebra that SLP preprocessing and the
+    plain-text fold of :mod:`repro.parallel.fold` share:
+
+    * ``σ = σ_R ∘ σ_L`` as partial functions (*dead* absorbs);
+    * ``T_em = T_em_L · T_R  ∪  σ_L-pull(T_em_R)`` — the first emission is
+      in the left part, or the left part runs pure and it is in the right;
+    * ``T = T_em ∪ σ`` — a run either emits or is exactly the pure run.
+
+    ``sig_l`` / ``sig_r`` are (m, q) int64 stacks and ``t_em_r`` a packed
+    (m, q, w) stack; the product operands ``t_em_l`` / ``t_r`` may also be
+    lists of :class:`BitMatrix`, whose pairs go through :func:`bool_mm_many`
+    (one product per distinct pair of objects).  Returns
+    ``(σ, T rows, T_em rows)`` stacks.  Every step is exact, so any
+    parenthesisation of a document folds to the same words."""
+    if isinstance(t_em_l, np.ndarray):
+        product_rows = _pair_products(t_em_l, t_r, q)
+    else:
+        product_rows = np.stack(
+            [m.rows for m in bool_mm_many(list(zip(t_em_l, t_r)))]
+        )
+    dead_l = sig_l == dead
+    index = np.where(dead_l, 0, sig_l)
+    sigma = np.where(dead_l, dead, np.take_along_axis(sig_r, index, axis=1))
+    pulled = np.take_along_axis(t_em_r, index[:, :, None], axis=1)
+    pulled[dead_l] = 0
+    t_em = product_rows | pulled
+    return sigma, t_em | function_bits_many(sigma, q, dead), t_em
 
 
 def matvec(a: BitMatrix, vec: PackedVec) -> PackedVec:

@@ -119,6 +119,8 @@ METRIC_NAMES = frozenset(
         "slp.membership.cache_misses",
         "slp.membership.kernel_ns",
         "slp.membership.sealed_hits",
+        "slp.membership.walk_skipped",
+        "slp.membership.walk_visited",
     }
 )
 

@@ -3,7 +3,8 @@
 A plain-text document is, for evaluation purposes, a product of per-
 character ``(σ, T, T_em)`` entries — the same algebra
 :meth:`repro.slp.SLPSpannerEvaluator.preprocess` computes bottom-up over
-an SLP's parse tree:
+an SLP's parse tree.  Both folds call one pair combine,
+:func:`repro.kernels.bitmat.combine_entries`:
 
 * ``σ`` composes as partial functions (``_DEAD`` absorbs),
 * ``T_em`` of a pair is ``T_em_L · T_R  ∪  σ_L-pull(T_em_R)`` (the first
@@ -20,16 +21,16 @@ document into shards, fold each shard on its own worker, and fold the
 shard entries on the caller's thread, with equality to the serial result
 asserted (not hoped for) by the differential test suite.
 
-Unlike ``preprocess`` — whose per-node Python loop is the right shape for
-a *dedup-friendly* SLP DAG — the fold here is written so that worker
-threads actually run concurrently under the GIL: a whole reduction level
-is advanced with a handful of *batched* numpy operations (stacked
-float32 matmul, ``take_along_axis`` gathers, word-wise unions) on
-``(m, q, ·)`` arrays, with no per-entry Python objects anywhere inside a
-shard.  The heavy operations release the GIL, so k thread workers give
-real speedup (benchmarks/bench_parallel.py asserts ≥ 2× at 4 workers on
-≥ 256 KiB documents).  The price is that no duplicate-product collapsing
-happens inside a shard — O(n·|Q|³) arithmetic instead of the SLP path's
+The two folds differ only in the shape fed to that combine.  An SLP
+pass (:class:`repro.slp.fold.ArenaFold`) combines one depth-wave of
+distinct DAG nodes at a time, collapsing duplicates; the fold here is
+written so that worker threads actually run concurrently under the GIL:
+a whole reduction level is one combine call on ``(m, q, ·)`` arrays, with
+no per-entry Python objects anywhere inside a shard.  The heavy
+operations release the GIL, so k thread workers give real speedup
+(benchmarks/bench_parallel.py asserts ≥ 2× at 4 workers on ≥ 256 KiB
+documents).  The price is that no duplicate-product collapsing happens
+inside a shard — O(n·|Q|³) arithmetic instead of the SLP path's
 O(|S|·|Q|³) — which is why the compressed path still wins on repetitive
 documents (see ``docs/PERFORMANCE.md``).
 
@@ -45,10 +46,8 @@ import numpy as np
 
 from repro.kernels.bitmat import (
     BitMatrix,
+    combine_entries,
     function_bits,
-    function_bits_many,
-    pack_rows,
-    unpack_rows,
     words_for,
 )
 
@@ -165,29 +164,23 @@ def indexed_entry(
 
 
 def _combine_level(sigmas, t_rows, t_em_rows, q: int):
-    """One reduction level: combine entries (0,1), (2,3), … batched.
+    """One reduction level: combine entries (0,1), (2,3), … batched
+    through :func:`repro.kernels.bitmat.combine_entries` — the same pair
+    combine SLP preprocessing runs per wave.
 
     An odd trailing entry is carried up unchanged — associativity makes
     the resulting parenthesisation irrelevant to the folded value."""
     m = sigmas.shape[0]
     k = m // 2
-    sig_l, sig_r = sigmas[0 : 2 * k : 2], sigmas[1 : 2 * k : 2]
-    # T_em_L · T_R through the exact float32 counting product, then one
-    # batched repack; this matmul is where workers spend their time, and
-    # it runs with the GIL released
-    a32 = unpack_rows(t_em_rows[0 : 2 * k : 2], q).astype(np.float32)
-    b32 = unpack_rows(t_rows[1 : 2 * k : 2], q).astype(np.float32)
-    product_rows = pack_rows(np.matmul(a32, b32) > 0.5)
-    # σ composition and the σ_L-pull of T_em_R, dead-state aware
-    dead_l = sig_l == _DEAD
-    index = np.where(dead_l, 0, sig_l)
-    sigma = np.where(dead_l, _DEAD, np.take_along_axis(sig_r, index, axis=1))
-    pulled = np.take_along_axis(
-        t_em_rows[1 : 2 * k : 2], index[:, :, None], axis=1
+    sigma, t_new, t_em_new = combine_entries(
+        sigmas[0 : 2 * k : 2],
+        t_em_rows[0 : 2 * k : 2],
+        sigmas[1 : 2 * k : 2],
+        t_rows[1 : 2 * k : 2],
+        t_em_rows[1 : 2 * k : 2],
+        q,
+        _DEAD,
     )
-    pulled[dead_l] = 0
-    t_em_new = product_rows | pulled
-    t_new = t_em_new | function_bits_many(sigma, q)
     if m % 2:
         sigma = np.concatenate([sigma, sigmas[-1:]])
         t_new = np.concatenate([t_new, t_rows[-1:]])

@@ -38,6 +38,7 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -122,11 +123,22 @@ def _reset_after_fork() -> None:  # pragma: no cover - runs in the child
     unlink segments the *parent* still owns.  Ownership never crosses
     ``fork()``: drop the inherited entries (close/unlink stay with the
     parent).  The ``_forked_child`` flag tells :func:`attach` that this
-    process may also share the parent's resource tracker."""
-    global _forked_child
+    process may also share the parent's resource tracker.
+
+    A lock that another parent thread held at the moment of ``fork()``
+    stays held forever in the child, so the child gets fresh ones: ours,
+    and the inherited resource tracker's.  A parent thread holds the
+    tracker's lock for as long as starting the tracker process takes on
+    first use, and the worker's first :func:`attach` registers with the
+    tracker, so a worker forked inside that window blocked for good."""
+    global _forked_child, _live_lock
     _forked_child = True
-    with _live_lock:
-        _live.clear()
+    _live_lock = threading.Lock()
+    _live.clear()
+    tracker_module = sys.modules.get("multiprocessing.resource_tracker")
+    tracker = getattr(tracker_module, "_resource_tracker", None)
+    if hasattr(tracker, "_lock"):
+        tracker._lock = type(tracker._lock)()
 
 
 if hasattr(os, "register_at_fork"):

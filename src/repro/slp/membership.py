@@ -9,112 +9,51 @@ faster than the ``O(|D| · |Q|^2)`` simulation on the decompressed document,
 which is exactly the crossover benchmark C2 measures.
 
 Matrices are held packed (:class:`repro.kernels.bitmat.BitMatrix`, uint64
-bit-words per row) and pair products run wave-by-wave through
-:func:`repro.kernels.bitmat.bool_mm_many`: all nodes of equal depth are
-multiplied in one batched BLAS call, and duplicate operand pairs — the
-normal case on the repetitive documents SLPs exist for — are computed
-once and shared.
+bit-words per row).  :class:`CompressedMembership` is an
+:class:`~repro.slp.fold.ArenaFold` whose leaves are the character
+matrices and whose pair combine is one batched boolean product per
+depth-wave (:func:`repro.kernels.bitmat.bool_mm_many`); memo, sealing,
+rollback and duplicate collapsing are the fold's.
 """
 
 from __future__ import annotations
 
-import time
-import weakref
-
 import numpy as np
 
-from repro import obs
 from repro.automata.nfa import NFA
 from repro.core.alphabet import symbol_matches
 from repro.kernels.bitmat import BitMatrix, bool_mm_many, pack_vec
+from repro.slp.fold import ArenaFold
 from repro.slp.slp import SLP
 
 __all__ = ["CompressedMembership", "simulate_uncompressed"]
 
 
-class CompressedMembership:
+class CompressedMembership(ArenaFold):
     """Reusable compressed-membership oracle for one NFA.
 
-    Per-(SLP, node) matrices are memoised in a per-arena index
-    (``serial → node → matrix``), so repeated queries against the same
-    document database — including documents that share subtrees — pay only
-    for new nodes.  Fully-preprocessed roots are *sealed*: a repeat query
-    on a sealed root returns without walking, and the discovery walk for a
-    fresh root stops descending at any sealed child, so after an append or
-    CDE edit only the O(fresh + log n) frontier is visited.  This is the
-    incremental behaviour needed after CDE updates ([40]): an edit creates
-    O(log |D|) fresh nodes, and only those get new matrices.
+    Per-(SLP, node) matrices are memoised per arena, so repeated queries
+    against the same document database — including documents that share
+    subtrees — pay only for new nodes, and a sealed root answers a repeat
+    query without walking.  This is the incremental behaviour needed after
+    CDE updates ([40]): an edit creates O(log |D|) fresh nodes, and only
+    those get new matrices.
     """
 
+    _metric = "slp.membership"
+
     def __init__(self, nfa: NFA) -> None:
+        super().__init__()
         self.nfa = nfa.remove_epsilon()
         self.num_states = self.nfa.num_states
         self._char_matrices: dict[str, BitMatrix] = {}
-        #: serial -> node -> packed matrix (two-level, per-arena index)
-        self._arena_matrices: dict[int, dict[int, BitMatrix]] = {}
-        #: serial -> node ids whose whole subtree is cached (sealed roots)
-        self._sealed: dict[int, set[int]] = {}
-        #: serial -> finalizer purging that arena's matrices on collection
-        self._arena_finalizers: dict[int, weakref.finalize] = {}
         self._initial_rows = np.array(sorted(self.nfa.initial), dtype=np.int64)
         accepting = np.zeros(self.num_states, dtype=bool)
         for state in self.nfa.accepting:
             accepting[state] = True
         self._accepting_words = pack_vec(accepting)
 
-    # ------------------------------------------------------------------
-    # cache administration
-    # ------------------------------------------------------------------
-    def cached_nodes(self, serial: int | None = None) -> int:
-        """How many node matrices are cached — for one arena, or overall.
-        O(1) per arena thanks to the two-level index."""
-        if serial is not None:
-            return len(self._arena_matrices.get(serial, ()))
-        return sum(len(arena) for arena in self._arena_matrices.values())
-
-    def is_sealed(self, slp: SLP, node: int) -> bool:
-        """Whether *node*'s entire subtree is known cached (O(1))."""
-        return node in self._sealed.get(slp.serial, ())
-
-    def invalidate_from(self, slp: SLP, mark: int) -> int:
-        """Drop cached matrices for nodes of *slp* with id ``>= mark``.
-
-        Rollback truncates the arena back to a mark and later allocations
-        *reuse* the freed ids, so stale matrices (and stale sealed bits)
-        keyed on them would silently describe the wrong document.  Sealed
-        ids below the mark stay sealed: children always have smaller ids
-        than parents, so their subtrees are untouched by the truncation."""
-        arena = self._arena_matrices.get(slp.serial)
-        if not arena:
-            return 0
-        doomed = [node for node in arena if node >= mark]
-        for node in doomed:
-            del arena[node]
-        sealed = self._sealed.get(slp.serial)
-        if sealed:
-            self._sealed[slp.serial] = {n for n in sealed if n < mark}
-        return len(doomed)
-
-    def _purge_arena(self, serial: int) -> None:
-        """Drop a collected arena's matrices (weakref callback); O(that
-        arena's entries) — other arenas are untouched, unscanned."""
-        self._arena_finalizers.pop(serial, None)
-        self._sealed.pop(serial, None)
-        self._arena_matrices.pop(serial, None)
-
-    def _ensure_finalizer(self, slp: SLP) -> None:
-        serial = slp.serial
-        if serial not in self._arena_finalizers:
-            self._arena_finalizers[serial] = weakref.finalize(
-                slp, self._purge_arena, serial
-            )
-
-    # ------------------------------------------------------------------
-    def char_matrix(self, ch: str) -> np.ndarray:
-        """The one-character transition matrix (bool, |Q|×|Q|)."""
-        return self._char_bitmatrix(ch).to_bool()
-
-    def _char_bitmatrix(self, ch: str) -> BitMatrix:
+    def _leaf(self, ch: str) -> BitMatrix:
         matrix = self._char_matrices.get(ch)
         if matrix is None:
             dense = np.zeros((self.num_states, self.num_states), dtype=bool)
@@ -126,6 +65,13 @@ class CompressedMembership:
             self._char_matrices[ch] = matrix
         return matrix
 
+    def _combine(self, lefts: list, rights: list) -> list:
+        return bool_mm_many(list(zip(lefts, rights)))
+
+    def char_matrix(self, ch: str) -> np.ndarray:
+        """The one-character transition matrix (bool, |Q|×|Q|)."""
+        return self._leaf(ch).to_bool()
+
     def node_matrix(self, slp: SLP, node: int) -> np.ndarray:
         """The reachability matrix of ``D(node)`` as a bool array (a dense
         view of the packed form :meth:`node_bitmatrix` keeps cached)."""
@@ -133,84 +79,8 @@ class CompressedMembership:
 
     def node_bitmatrix(self, slp: SLP, node: int) -> BitMatrix:
         """The packed reachability matrix of ``D(node)``, bottom-up with
-        memo; fresh pair nodes multiply as depth-waves through the batched,
-        duplicate-collapsing kernel.
-
-        A sealed root returns its matrix with zero walk; otherwise the
-        discovery walk (:meth:`SLP.frontier`) prunes at sealed children,
-        and everything it visited is sealed afterwards so the next append
-        only pays for its own spine.
-
-        With :mod:`repro.obs` enabled, memo effectiveness and kernel time
-        are recorded (``slp.membership.cache_hits`` / ``.cache_misses`` /
-        ``.sealed_hits`` / ``.kernel_ns``) — once per call, not per node."""
-        serial = slp.serial
-        sealed = self._sealed.get(serial)
-        arena = self._arena_matrices.get(serial)
-        if sealed and node in sealed:
-            if obs.enabled():
-                registry = obs.metrics()
-                registry.counter("slp.membership.sealed_hits").inc()
-                registry.counter("slp.membership.cache_hits").inc()
-            return arena[node]
-        observing = obs.enabled()
-        t0 = time.perf_counter_ns() if observing else 0
-        self._ensure_finalizer(slp)
-        if arena is None:
-            arena = self._arena_matrices.setdefault(serial, {})
-        if sealed is None:
-            sealed = self._sealed.setdefault(serial, set())
-        nodes, _skipped = slp.frontier(node, sealed)
-        fresh = 0
-        level: dict[int, int] = {}
-        waves: list[list[tuple[int, int, int]]] = []
-        for current in nodes:
-            if current in arena:
-                continue
-            fresh += 1
-            if slp.is_terminal(current):
-                arena[current] = self._char_bitmatrix(slp.char(current))
-                continue
-            left, right = slp.children(current)
-            depth = max(level.get(left, 0), level.get(right, 0)) + 1
-            level[current] = depth
-            if depth > len(waves):
-                waves.append([])
-            waves[depth - 1].append((current, left, right))
-        # One intern pool per pass: equal matrices from different subtrees
-        # become one object, so later waves collapse them by identity.
-        intern: dict = {}
-        for wave in waves:
-            products = [
-                (arena[left], arena[right]) for _, left, right in wave
-            ]
-            for (current, _, _), product in zip(
-                wave, bool_mm_many(products, intern=intern)
-            ):
-                arena[current] = product
-        for wave in waves:
-            for current, _, _ in wave:
-                arena[current].release_dense()
-        # Seal bottom-up over the walked order: a node seals once its matrix
-        # exists and (for pairs) both children are sealed — pruned children
-        # were sealed already, so the property propagates to the root.
-        for current in nodes:
-            if current not in arena:
-                continue
-            if slp.is_terminal(current):
-                sealed.add(current)
-            else:
-                left, right = slp.children(current)
-                if left in sealed and right in sealed:
-                    sealed.add(current)
-        if observing:
-            registry = obs.metrics()
-            registry.counter("slp.membership.cache_misses").inc(fresh)
-            registry.counter("slp.membership.cache_hits").inc(len(nodes) - fresh)
-            registry.counter("slp.membership.kernel_ns").inc(
-                time.perf_counter_ns() - t0
-            )
-        return arena[node]
+        memo (``slp.membership.*`` counters when :mod:`repro.obs` is on)."""
+        return self.value(slp, node)
 
     def accepts(self, slp: SLP, node: int) -> bool:
         """Decide ``D(node) ∈ L(M)`` in O(new nodes · |Q|^3)."""

@@ -14,6 +14,12 @@ shared across the DAG) or cross the boundary — detectable inside the
 ``suf(left)·pref(right)`` window of length ≤ 2(m−1).  Total time
 O(|S|·m), i.e. logarithmic in |D| for well-compressed documents.
 
+The matcher is an :class:`~repro.slp.fold.ArenaFold` over those triples,
+so memo, sealing, rollback and dead-arena purging are the ones the
+compressed spanner evaluator uses.  The pair combine reads only the two
+child triples (a child is at least ``m−1`` long exactly when its kept
+context is), which is what lets the fold batch and deduplicate it.
+
 :meth:`CompressedPatternMatcher.occurrences` additionally streams match
 *positions* lazily by descending only into subtrees that contain matches.
 """
@@ -23,111 +29,47 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import SLPError
+from repro.slp.fold import ArenaFold
 from repro.slp.slp import SLP
 
 __all__ = ["CompressedPatternMatcher"]
 
 
-def _overlapping_count(text: str, pattern: str) -> int:
-    count = 0
-    start = text.find(pattern)
-    while start != -1:
-        count += 1
-        start = text.find(pattern, start + 1)
-    return count
-
-
-class CompressedPatternMatcher:
+class CompressedPatternMatcher(ArenaFold):
     """Occurrence counting and location for one fixed pattern."""
 
     def __init__(self, pattern: str) -> None:
         if not pattern:
             raise SLPError("pattern must be non-empty")
+        super().__init__()
         self.pattern = pattern
-        #: slp.serial -> node -> (count, prefix, suffix)
-        self._arena_data: dict[int, dict[int, tuple[int, str, str]]] = {}
-        #: slp.serial -> node ids whose whole subtree is cached
-        self._sealed: dict[int, set[int]] = {}
 
-    # ------------------------------------------------------------------
-    def cached_nodes(self, serial: int | None = None) -> int:
-        """Cached node count — for one arena, or overall (O(1) per arena)."""
-        if serial is not None:
-            return len(self._arena_data.get(serial, ()))
-        return sum(len(arena) for arena in self._arena_data.values())
+    def _leaf(self, ch: str) -> tuple[int, str, str]:
+        context = ch[: len(self.pattern) - 1]
+        return (1 if ch == self.pattern else 0), context, context
 
-    def is_sealed(self, slp: SLP, node: int) -> bool:
-        """Whether *node*'s entire subtree is known cached (O(1))."""
-        return node in self._sealed.get(slp.serial, ())
-
-    def invalidate_from(self, slp: SLP, mark: int) -> int:
-        """Drop cached data for nodes of *slp* with id ``>= mark`` (rollback
-        reuses those ids); sealed ids at or above the mark are unsealed."""
-        arena = self._arena_data.get(slp.serial)
-        if not arena:
-            return 0
-        doomed = [node for node in arena if node >= mark]
-        for node in doomed:
-            del arena[node]
-        sealed = self._sealed.get(slp.serial)
-        if sealed:
-            self._sealed[slp.serial] = {n for n in sealed if n < mark}
-        return len(doomed)
-
-    def _node_data(self, slp: SLP, node: int) -> tuple[int, str, str]:
-        serial = slp.serial
-        sealed = self._sealed.setdefault(serial, set())
-        arena = self._arena_data.setdefault(serial, {})
-        if node in sealed:
-            return arena[node]
+    def _combine(self, lefts: list, rights: list) -> list:
         m = len(self.pattern)
         keep = m - 1
-        walked, _skipped = slp.frontier(node, sealed)
-        for current in walked:
-            if current in arena:
-                continue
-            if slp.is_terminal(current):
-                ch = slp.char(current)
-                count = 1 if ch == self.pattern else 0
-                context = ch[:keep]
-                arena[current] = (count, context, context)
-                continue
-            left, right = slp.children(current)
-            count_l, pref_l, suf_l = arena[left]
-            count_r, pref_r, suf_r = arena[right]
+        values = []
+        for (count_l, pref_l, suf_l), (count_r, pref_r, suf_r) in zip(
+            lefts, rights
+        ):
             window = suf_l + pref_r
             crossing = sum(
                 1
                 for i in range(len(window) - m + 1)
                 if i < len(suf_l) < i + m and window.startswith(self.pattern, i)
             )
-            count = count_l + count_r + crossing
-            if slp.length(left) >= keep:
-                prefix = pref_l
-            else:
-                prefix = (pref_l + pref_r)[:keep]
-            if slp.length(right) >= keep:
-                suffix = suf_r
-            else:
-                suffix = (suf_l + suf_r)[-keep:] if keep else ""
-            arena[current] = (count, prefix, suffix)
-        # Seal bottom-up over the walked order; pruned children were sealed
-        # already, so sealing propagates all the way to the fresh root.
-        for current in walked:
-            if current not in arena:
-                continue
-            if slp.is_terminal(current):
-                sealed.add(current)
-            else:
-                left, right = slp.children(current)
-                if left in sealed and right in sealed:
-                    sealed.add(current)
-        return arena[node]
+            prefix = pref_l if len(pref_l) >= keep else (pref_l + pref_r)[:keep]
+            suffix = suf_r if len(suf_r) >= keep else (suf_l + suf_r)[-keep:]
+            values.append((count_l + count_r + crossing, prefix, suffix))
+        return values
 
     # ------------------------------------------------------------------
     def count(self, slp: SLP, node: int) -> int:
         """Overlapping occurrences of the pattern in ``D(node)``."""
-        return self._node_data(slp, node)[0]
+        return self.value(slp, node)[0]
 
     def contains(self, slp: SLP, node: int) -> bool:
         return self.count(slp, node) > 0
@@ -140,9 +82,9 @@ class CompressedPatternMatcher:
         O(depth · m).  Note: offsets are plain ints even when |D| is
         astronomic.
         """
-        self._node_data(slp, node)
+        self.preprocess(slp, node)
         m = len(self.pattern)
-        data = self._arena_data[slp.serial]
+        data = self.arena(slp)
         # in-order traversal as an explicit LIFO (an SLP of depth d must
         # not consume d interpreter stack frames): left matches, crossing
         # matches, right matches are each emitted in increasing position

@@ -136,47 +136,68 @@ class TestSealedFastPath:
 # ---------------------------------------------------------------------------
 # unsealing: rollback aliasing and arena collection
 # ---------------------------------------------------------------------------
+#: every compressed evaluator built on the shared fold, with a query whose
+#: answer differs between the documents "aaba" and "aabb"
+FOLDS = {
+    "spanner": (
+        lambda: SLPSpannerEvaluator(spanner_from_regex("(a|b)*!x{ba}(a|b)*")),
+        lambda fold, slp, node: fold.evaluate(slp, node),
+    ),
+    "membership": (
+        lambda: CompressedMembership(compile_nfa("(a|b)*a")),
+        lambda fold, slp, node: fold.accepts(slp, node),
+    ),
+    "pattern": (
+        lambda: CompressedPatternMatcher("ba"),
+        lambda fold, slp, node: fold.count(slp, node),
+    ),
+}
+
+
 class TestUnsealing:
-    def test_invalidate_from_unseals_reused_ids(self):
+    @pytest.mark.parametrize("kind", FOLDS)
+    def test_invalidate_from_unseals_reused_ids(self, kind):
         """Rollback truncates the arena and later allocations *reuse* the
         freed ids; a stale sealed bit would answer for the wrong document."""
-        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERN))
+        make, answer = FOLDS[kind]
+        fold = make()
         slp = SLP()
         base = balanced_node(slp, "aa")
-        evaluator.preprocess(slp, base)
+        answer(fold, slp, base)
         mark = slp.num_nodes()
         first = slp.append_text(base, "ba")
-        evaluator.preprocess(slp, first)
-        assert evaluator.is_sealed(slp, first)
-        stale_sigma = evaluator.node_entry(slp, first)[0].copy()
+        stale = answer(fold, slp, first)
+        assert fold.is_sealed(slp, first)
         # transaction rollback: invalidate above the mark, then truncate
-        evaluator.invalidate_from(slp, mark)
+        fold.invalidate_from(slp, mark)
         slp.truncate(mark)
-        assert not evaluator.is_sealed(slp, first)
-        assert evaluator.is_sealed(slp, base), "rollback unsealed survivors"
+        assert not fold.is_sealed(slp, first)
+        assert fold.is_sealed(slp, base), "rollback unsealed survivors"
         # reuse the freed ids for *different* content ("aabb" vs "aaba")
         second = slp.append_text(base, "bb")
         assert second == first, "precondition: node id reused"
-        fresh = evaluator.preprocess(slp, second)
-        assert fresh > 0, "stale sealed root answered after rollback"
-        assert not np.array_equal(
-            evaluator.node_entry(slp, second)[0], stale_sigma
-        ), "reused id kept the old document's matrices"
-        cold = SLPSpannerEvaluator(spanner_from_regex(PATTERN))
-        assert evaluator.evaluate(slp, second) == cold.evaluate(slp, second)
+        cached = fold.cached_nodes(slp.serial)
+        got = answer(fold, slp, second)
+        assert fold.cached_nodes(slp.serial) > cached, (
+            "stale sealed root answered after rollback"
+        )
+        assert got != stale, "reused id kept the old document's value"
+        assert got == answer(make(), slp, second)
 
-    def test_purge_arena_drops_sealed_roots(self):
-        evaluator = SLPSpannerEvaluator(spanner_from_regex(PATTERN))
+    @pytest.mark.parametrize("kind", FOLDS)
+    def test_purge_arena_drops_sealed_roots(self, kind):
+        make, answer = FOLDS[kind]
+        fold = make()
         slp = SLP()
         node = balanced_node(slp, "abba")
-        evaluator.preprocess(slp, node)
+        answer(fold, slp, node)
         serial = slp.serial
-        assert evaluator.sealed_nodes(serial) > 0
-        assert evaluator.arena_cache_stats(serial)["bytes"] > 0
+        assert fold.cached_nodes(serial) > 0
+        assert fold.is_sealed(slp, node)
         del slp, node
         gc.collect()
-        assert evaluator.sealed_nodes(serial) == 0
-        assert evaluator.arena_cache_stats(serial) == {
+        assert fold.cached_nodes(serial) == 0, "dead arena still cached"
+        assert fold.arena_cache_stats(serial) == {
             "entries": 0,
             "bytes": 0,
             "sealed": 0,

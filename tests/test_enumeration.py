@@ -6,6 +6,7 @@ from repro.core import Span, SpanRelation, SpanTuple
 from repro.enumeration import Enumerator, ProductIndex, evaluate_vset, measure_delays
 from repro.regex import spanner_from_regex
 from repro.spanners import RegularSpanner
+from repro.util import Budget
 
 
 PATTERNS = [
@@ -100,9 +101,13 @@ class TestDelayScaling:
     def test_max_delay_does_not_grow_with_document(self):
         """The heart of experiment C1: delay independent of |D|.
 
-        We count *work steps* structurally rather than wall-clock time: for
-        the pattern below, tuples are separated by long marker-free runs
-        that the jump pointers must skip in O(1).
+        We count *work steps* structurally rather than wall-clock time:
+        the enumerator charges one budget step per jump-pointer hop and
+        one per useful edge, and the delay of a tuple is the number of
+        steps charged since the previous one.  For the pattern below,
+        tuples are separated by long marker-free runs that the jump
+        pointers must skip in O(1); a position-by-position scan would
+        charge a step per character of the run.
         """
         pattern = "(a|b)*!x{ab}(a|b)*"
         enumerator = Enumerator(spanner_from_regex(pattern))
@@ -110,17 +115,19 @@ class TestDelayScaling:
         for scale in (20, 200):
             doc = ("a" * 50 + "b") * scale  # matches far apart
             index = enumerator.preprocess(doc)
-            count = len(list(enumerator.enumerate_index(index)))
-            assert count == scale
-            # delays measured in wall-clock over many tuples: use the mean
-            # of the worst decile as a robust max-delay proxy
-            _, delays = measure_delays(enumerator.enumerate_index(index))
+            budget = Budget()
+            delays = []
+            charged = 0
+            for _ in enumerator.enumerate_index(index, budget):
+                delays.append(budget.steps - charged)
+                charged = budget.steps
+            assert len(delays) == scale
+            # the mean of the worst decile as a robust max-delay proxy
             delays.sort()
             worst = delays[-max(1, len(delays) // 10):]
             gaps.append(sum(worst) / len(worst))
         small, large = gaps
-        # 10x longer document must not mean 10x longer worst delays;
-        # allow generous noise but reject linear growth
+        # 10x longer document must not mean 5x more steps between tuples
         assert large < small * 5, (small, large)
 
 

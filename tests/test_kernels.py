@@ -148,7 +148,7 @@ class TestProducts:
         a1, a2 = BitMatrix.from_bool(bools_a), BitMatrix.from_bool(bools_a)
         b1, b2 = BitMatrix.from_bool(bools_b), BitMatrix.from_bool(bools_b)
         pool: dict = {}
-        got = bool_mm_many([(a1, b1), (a2, b2)], intern=pool)
+        got = intern_many(pool, bool_mm_many([(a1, b1), (a2, b2)]))
         assert got[0] is got[1]
         # without the pool they stay distinct objects (equal content)
         bare = bool_mm_many([(a1, b1), (a2, b2)])

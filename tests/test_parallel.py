@@ -36,6 +36,8 @@ PATTERNS = [
     "(a|b)*!x{ab}(a|b)*",
     "(a|b)*!x{a+}!y{b+}(a|b)*",
     "(!x{a})?(a|b)*",
+    # determinises to 135 states: crosses the kernel's |Q| > 128 branch
+    "(a|b)*!x{(a|b)*a(a|b)(a|b)(a|b)(a|b)(a|b)(a|b)}(a|b)*",
 ]
 
 

@@ -79,6 +79,17 @@ def _pool_cleared_in_child():
     return procpool._pool is None
 
 
+def _attach_and_sum(name: str) -> int:
+    """Worker-side probe: attach a parent-owned segment and read it."""
+    from repro.parallel.shm import attach
+
+    segment = attach(name)
+    try:
+        return int(np.frombuffer(segment.buf, dtype=np.uint8).sum())
+    finally:
+        segment.close()
+
+
 @pytest.fixture(autouse=True)
 def shm_leak_oracle():
     """Every test in this file must leave zero shared-memory segments
@@ -406,6 +417,40 @@ class TestShmHygiene:
         finally:
             taken.close()
             taken.unlink()
+
+    def test_worker_forked_while_another_thread_holds_the_tracker_lock(self):
+        """A parent thread holds the resource tracker's lock while the
+        tracker starts up; a worker forked in that window inherits the
+        lock held, and must still be able to attach."""
+        import multiprocessing
+        from multiprocessing import resource_tracker
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("fork start method unavailable")
+        configure_pool(workers=1, start_method="fork")
+        tracker = resource_tracker._resource_tracker
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with tracker._lock:
+                held.set()
+                release.wait()
+
+        with SegmentRegistry() as registry:
+            segment = registry.create(4)
+            segment.buf[:4] = bytes([1, 2, 3, 4])
+            holder = threading.Thread(target=hold)
+            holder.start()
+            held.wait()
+            try:
+                probe = ProcCall(
+                    "tests.test_procpool:_attach_and_sum", (segment.name,)
+                )
+                got = get_pool().run([probe], deadline=Deadline.after(10))
+            finally:
+                release.set()
+                holder.join()
+        assert got == [10]
 
     def test_unresolvable_collision_is_a_typed_error(self, monkeypatch):
         import repro.parallel.shm as shm

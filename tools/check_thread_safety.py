@@ -7,12 +7,15 @@ Its safety argument (see ``docs/RELIABILITY.md``, "Serving runbook") rests
 on a small set of owners being the only code that touches the shared
 mutable state of the evaluation pipeline:
 
-* the per-spanner matrix caches (``_arena_entries``, ``_node_data``,
-  ``_char_tables_cache``) are owned by ``slp/spanner_eval.py`` and
-  invalidated by ``db.py``'s transaction machinery;
+* the per-arena node memo of every compressed evaluator
+  (``_arena_memo``) is owned by ``slp/fold.py``, the one bottom-up fold
+  the spanner evaluator, membership oracle and pattern matcher share;
+  the spanner char tables (``_char_tables_cache``) by
+  ``slp/spanner_eval.py``;
 * arena truncation (``.truncate(``) is owned by ``slp/slp.py`` (the
   definition) and ``db.py`` (rollback);
-* cache invalidation (``invalidate_from``) likewise;
+* cache invalidation (``invalidate_from``) by ``slp/fold.py`` (the
+  definition) and ``db.py`` (rollback);
 * every *other* module must reach this state through
   ``serve/coordination.py``'s read/write lock, never directly.
 
@@ -38,19 +41,14 @@ SCANNED = "src"
 
 #: token -> set of repo-relative files allowed to use it
 GUARDED = {
-    re.compile(r"\b_node_data\b"): {
-        "src/repro/slp/pattern.py",  # per-instance matcher cache, not served
-    },
-    re.compile(r"\b_arena_entries\b"): {
-        "src/repro/slp/spanner_eval.py",
+    re.compile(r"\b_arena_memo\b"): {
+        "src/repro/slp/fold.py",
     },
     re.compile(r"\b_char_tables_cache\b"): {
         "src/repro/slp/spanner_eval.py",
     },
     re.compile(r"\binvalidate_from\s*\("): {
-        "src/repro/slp/spanner_eval.py",
-        "src/repro/slp/membership.py",  # defines it for its own cache
-        "src/repro/slp/pattern.py",  # likewise
+        "src/repro/slp/fold.py",
         "src/repro/db.py",
     },
     re.compile(r"\.truncate\s*\("): {
