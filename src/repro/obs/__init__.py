@@ -37,8 +37,6 @@ on it, including :mod:`repro.util.budget` during package initialisation).
 from __future__ import annotations
 
 import contextlib
-import os
-import threading
 
 from repro.obs.context import TraceContext
 from repro.obs.export import export_prometheus
@@ -161,32 +159,3 @@ def child_context() -> TraceContext | None:
         return None
     return ctx.child_of(_tracer.current_span_id(), _tracer.process or "main")
 
-
-def _reset_after_fork() -> None:
-    """Make the child's obs state safe after ``os.fork``.
-
-    The child shares the parent's buffered sink file object; flushing or
-    closing it here would duplicate buffered lines into the file, so the
-    handle is *abandoned* (the parent still owns the real one).  The
-    inherited metric values and any open-span stack are dropped too:
-    they are the *parent's* measurements, and a pool worker that kept
-    them would ship them back as a harvest delta — double-counting
-    everything recorded before the fork.  The child starts disabled —
-    pool workers re-enable via the dispatch spec they receive with their
-    first task."""
-    global _enabled
-    _enabled = False
-    _tracer.enabled = False
-    _tracer._sink_file = None
-    _tracer._sink_path = None
-    _tracer._owns_sink = False
-    _tracer._lock = threading.Lock()
-    _tracer._local = threading.local()
-    _tracer._records = []
-    _tracer.record_hook = None
-    _tracer.recent = None
-    _metrics.reset()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - linux container
-    os.register_at_fork(after_in_child=_reset_after_fork)

@@ -46,9 +46,16 @@ dispatch carries a global sequence number, and the worker consults the
 schedule *before* executing — so chaos runs kill and stall real
 processes deterministically per seed.
 
-The default start method is ``"fork"`` where available (milliseconds per
-worker; workers inherit warm imports) and ``"spawn"`` elsewhere;
-:func:`configure_pool` overrides it.  Everything here is
+Workers never fork the caller.  The caller is usually a threaded
+service, and a ``fork()`` copies every lock another thread holds at that
+moment into the child already held.  Workers start instead from a
+``"forkserver"``: a single-threaded server that imports the repro
+modules a task needs once (:data:`_PRELOAD`) and forks each worker from
+that clean, warm state, so a worker inherits no repro lock, pool handle,
+metric value or shm table.  Where the platform has no forkserver, workers
+start by ``"spawn"``.  A script that starts workers therefore needs the
+``if __name__ == "__main__":`` guard, as with any spawned
+``multiprocessing`` child.  Everything here is
 observability-instrumented: ``parallel.proc.*`` counters count spawns,
 respawns, crashes, retries, and tasks, and each batch runs under a
 ``parallel.proc.run`` trace span.
@@ -96,6 +103,23 @@ _DEFAULT_CRASH_TOLERANCE = 4
 
 #: how many times one task may be re-dispatched after losing its worker
 _DEFAULT_TASK_RETRIES = 2
+
+#: the modules a worker task imports, loaded once by the forkserver so
+#: every worker it forks starts warm
+_PRELOAD = ["repro.parallel.procpool", "repro.parallel.api"]
+
+
+def _worker_context():
+    """The ``multiprocessing`` context every pool worker starts from: a
+    forkserver preloaded with :data:`_PRELOAD`, or ``spawn`` where the
+    platform has none (see the module docstring)."""
+    import multiprocessing
+
+    if "forkserver" not in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("spawn")
+    ctx = multiprocessing.get_context("forkserver")
+    ctx.set_forkserver_preload(_PRELOAD)
+    return ctx
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +373,6 @@ class ProcPool:
         self,
         workers: int | None = None,
         *,
-        start_method: str | None = None,
         chaos=None,
         stall_timeout: float = _DEFAULT_STALL_TIMEOUT,
         crash_tolerance: int = _DEFAULT_CRASH_TOLERANCE,
@@ -360,12 +383,10 @@ class ProcPool:
         self.workers = int(workers) if workers is not None else default_workers()
         if self.workers < 1:
             raise ParallelError(f"workers must be >= 1, got {self.workers}")
-        self.start_method = start_method or _default_start_method()
         self.chaos = chaos
         self.stall_timeout = float(stall_timeout)
         self.crash_tolerance = int(crash_tolerance)
         self.task_retries = int(task_retries)
-        self._ctx = None
         self._lock = threading.Lock()
         self._idle: list[_Worker] = []
         self._busy = 0  # workers currently checked out by run() calls
@@ -396,15 +417,8 @@ class ProcPool:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def _context(self):
-        if self._ctx is None:
-            import multiprocessing
-
-            self._ctx = multiprocessing.get_context(self.start_method)
-        return self._ctx
-
     def _spawn(self) -> _Worker:
-        ctx = self._context()
+        ctx = _worker_context()
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         with self._lock:
             self._spawned_total += 1
@@ -809,36 +823,8 @@ class ProcPool:
 # ----------------------------------------------------------------------
 # the module-level pool (what the ``"process"`` backend uses)
 # ----------------------------------------------------------------------
-def _default_start_method() -> str:
-    import multiprocessing
-
-    methods = multiprocessing.get_all_start_methods()
-    # fork is milliseconds per worker and inherits warm imports; spawn is
-    # the portable fallback.  configure_pool() overrides for tests that
-    # assert spawn-mode parity.
-    return "fork" if "fork" in methods else "spawn"
-
-
 _pool_lock = threading.Lock()
 _pool: ProcPool | None = None
-
-
-def _reset_after_fork() -> None:  # pragma: no cover - runs in the child
-    """Fork-started workers inherit ``_pool`` — and the parent's ``atexit``
-    registration of :func:`shutdown_pool` — by memory copy.  Pool ownership
-    never crosses ``fork()``: a child running the parent's shutdown would
-    ``join()`` processes that are not its children (an ``AssertionError``
-    during atexit) and send ``("exit",)`` down inherited duplicate pipe fds
-    to sibling workers.  Drop the handle (and renew the lock, which another
-    thread could have held at fork time) so child-side shutdown is a no-op
-    — mirroring ``shm._reset_after_fork``."""
-    global _pool, _pool_lock
-    _pool_lock = threading.Lock()
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 def get_pool() -> ProcPool:
@@ -854,8 +840,7 @@ def configure_pool(**kwargs) -> ProcPool:
     """Replace the shared pool (shutting down the old one).
 
     Keyword arguments are those of :class:`ProcPool` — ``workers``,
-    ``start_method``, ``chaos``, ``stall_timeout``, ``crash_tolerance``,
-    ``task_retries``."""
+    ``chaos``, ``stall_timeout``, ``crash_tolerance``, ``task_retries``."""
     global _pool
     with _pool_lock:
         old, _pool = _pool, None

@@ -22,11 +22,10 @@ lost it.  The leak-proofing contract here is structural, and
 * every creation goes through a :class:`SegmentRegistry`, whose
   ``close()`` runs on success, failure, and (via ``atexit``) interpreter
   exit — the unlink does not depend on the request finishing cleanly;
-* worker-side attachments detach from Python's ``resource_tracker``
-  immediately (:func:`attach`), because the tracker of an *attaching*
-  process would otherwise unlink the parent's live segment when that
-  worker exits (bpo-38119) — exactly the double-free this module exists
-  to prevent.
+* workers share the parent's ``resource_tracker`` (they start from a
+  forkserver or by spawn, and both pass the tracker's fd on), so a
+  worker's attach-time registration is a duplicate of the parent's and
+  never triggers an unlink of its own when the worker exits.
 
 :func:`live_segments` reports every segment this process created and has
 not yet unlinked; the test suite asserts it is empty after every
@@ -38,7 +37,6 @@ from __future__ import annotations
 import atexit
 import os
 import secrets
-import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -112,37 +110,6 @@ def _cleanup_at_exit() -> None:  # pragma: no cover - interpreter teardown
 
 
 atexit.register(_cleanup_at_exit)
-
-
-_forked_child = False
-
-
-def _reset_after_fork() -> None:  # pragma: no cover - runs in the child
-    """A forked worker inherits the parent's ``_live`` table by memory
-    copy; if its own ``atexit`` ran :func:`_cleanup_at_exit` it would
-    unlink segments the *parent* still owns.  Ownership never crosses
-    ``fork()``: drop the inherited entries (close/unlink stay with the
-    parent).  The ``_forked_child`` flag tells :func:`attach` that this
-    process may also share the parent's resource tracker.
-
-    A lock that another parent thread held at the moment of ``fork()``
-    stays held forever in the child, so the child gets fresh ones: ours,
-    and the inherited resource tracker's.  A parent thread holds the
-    tracker's lock for as long as starting the tracker process takes on
-    first use, and the worker's first :func:`attach` registers with the
-    tracker, so a worker forked inside that window blocked for good."""
-    global _forked_child, _live_lock
-    _forked_child = True
-    _live_lock = threading.Lock()
-    _live.clear()
-    tracker_module = sys.modules.get("multiprocessing.resource_tracker")
-    tracker = getattr(tracker_module, "_resource_tracker", None)
-    if hasattr(tracker, "_lock"):
-        tracker._lock = type(tracker._lock)()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_after_fork)
 
 
 @dataclass(frozen=True)
@@ -304,35 +271,15 @@ def _view(segment, descr: ShmArray) -> np.ndarray:
 # worker side: attach, never create, never unlink
 # ----------------------------------------------------------------------
 def attach(name: str):
-    """Attach to a parent-owned segment, tracker-detached.
+    """Attach to a parent-owned segment.
 
-    Attaching registers the segment with a ``resource_tracker``; if that
-    tracker belongs to *this* process, it would unlink the parent's live
-    segment when this process exits (bpo-38119), so the registration is
-    removed immediately (Python < 3.13 has no ``track=False``).  A
-    **forked** worker instead shares the parent's tracker — there the
-    duplicate registration is harmless and must be left alone: removing
-    it would strip the parent's own crash backstop and double-unregister
-    at unlink time."""
+    Workers share the parent's resource tracker, so the registration
+    ``SharedMemory`` makes here duplicates the parent's and is left
+    alone: the parent's unlink clears it, and this process's exit never
+    unlinks the segment.  Removing it would strip the parent's own entry
+    and make the tracker report a ``KeyError`` at unlink time."""
     t0 = time.perf_counter_ns() if obs.enabled() else 0
-    shared_memory = _shared_memory()
-    try:
-        from multiprocessing import resource_tracker
-
-        inherited = (
-            _forked_child
-            and getattr(resource_tracker._resource_tracker, "_fd", None)
-            is not None
-        )
-    except Exception:  # pragma: no cover - tracker internals shifted
-        resource_tracker = None
-        inherited = False
-    segment = shared_memory.SharedMemory(name=name)
-    if resource_tracker is not None and not inherited:
-        try:
-            resource_tracker.unregister(segment._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals shifted
-            pass
+    segment = _shared_memory().SharedMemory(name=name)
     if obs.enabled():
         obs.metrics().histogram("parallel.shm.attach_ns").record(
             time.perf_counter_ns() - t0

@@ -419,7 +419,7 @@ class Editor:
 
     @classmethod
     def from_texts(cls, texts: dict[str, str]) -> "Editor":
-        return cls(DocumentDatabase.from_texts(texts, balanced=True))
+        return cls(DocumentDatabase.from_texts(texts))
 
     def apply(self, name: str, expr: CDE) -> int:
         """Evaluate φ and store the result as the new document *name*.

@@ -211,26 +211,6 @@ class SLP:
                 slp._pairs[(lhs, rhs)] = index
         return slp
 
-    def from_text(self, text: str) -> int:
-        """A balanced parse of *text* (no compression beyond sharing).
-
-        Builds a perfectly balanced binary concatenation tree; repeated
-        factors of equal shape are shared by hash-consing.  For real
-        compression use :mod:`repro.slp.build`.
-        """
-        if not text:
-            raise SLPError("SLPs derive non-empty documents")
-        nodes = [self.terminal(ch) for ch in text]
-        while len(nodes) > 1:
-            paired = [
-                self.pair(nodes[i], nodes[i + 1])
-                for i in range(0, len(nodes) - 1, 2)
-            ]
-            if len(nodes) % 2:
-                paired.append(nodes[-1])
-            nodes = paired
-        return nodes[0]
-
     def append_text(self, node: int | None, text: str) -> int | None:
         """A strongly balanced node deriving ``D(node) + text``.
 
@@ -456,21 +436,17 @@ class DocumentDatabase:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_texts(cls, texts: dict[str, str], balanced: bool = True) -> "DocumentDatabase":
-        """Build a database from plain strings (balanced parses by default)."""
+    def from_texts(cls, texts: dict[str, str]) -> "DocumentDatabase":
+        """Build a database from plain strings (strongly balanced parses)."""
         db = cls()
         for name, text in texts.items():
-            db.add_text(name, text, balanced=balanced)
+            db.add_text(name, text)
         return db
 
-    def add_text(self, name: str, text: str, balanced: bool = True) -> int:
+    def add_text(self, name: str, text: str) -> int:
         from repro.slp.build import balanced_node
 
-        if balanced:
-            node = balanced_node(self.slp, text)
-        else:
-            node = self.slp.from_text(text)
-        return self.add_node(name, node)
+        return self.add_node(name, balanced_node(self.slp, text))
 
     def add_node(self, name: str, node: int) -> int:
         if name in self._docs:

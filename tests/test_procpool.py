@@ -20,7 +20,11 @@ The contract under test, end to end:
 """
 
 import os
+import pathlib
 import random
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -72,8 +76,8 @@ RAISE = "repro.parallel.procpool:_task_raise"
 
 def _pool_cleared_in_child():
     """Worker-side probe: the parent's module-level pool handle must not
-    survive into a fork-started worker (its atexit would otherwise run the
-    parent's shutdown against processes that are not its children)."""
+    reach a worker (its atexit would otherwise run the parent's shutdown
+    against processes that are not its children)."""
     import repro.parallel.procpool as procpool
 
     return procpool._pool is None
@@ -88,6 +92,32 @@ def _attach_and_sum(name: str) -> int:
         return int(np.frombuffer(segment.buf, dtype=np.uint8).sum())
     finally:
         segment.close()
+
+
+def _plan_cache_lock():
+    from repro.kernels.plan import plan_cache
+
+    return plan_cache()._lock
+
+
+def _metrics_create_lock():
+    from repro import obs
+
+    return obs.metrics()._create_lock
+
+
+def _char_table_lock():
+    """The char-table store lock of a plan a bulk task compiles too (see
+    ``repro.parallel.api._preprocess_doc_task``)."""
+    from repro.kernels.plan import plan_cache
+
+    return plan_cache().get_or_compile(PATTERNS[1]).evaluator._char_tables_cache._lock
+
+
+def _take_lock(resolver: str) -> bool:
+    """Worker-side probe: acquire the lock that *resolver* names."""
+    with globals()[resolver]():
+        return True
 
 
 @pytest.fixture(autouse=True)
@@ -328,13 +358,41 @@ class TestProcPoolSupervision:
         assert got == list(range(5))
 
     def test_forked_workers_do_not_inherit_the_shared_pool(self):
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        configure_pool(workers=1, start_method="fork")
+        configure_pool(workers=1)
         probe = ProcCall("tests.test_procpool:_pool_cleared_in_child")
         assert get_pool().run([probe]) == [True]
+
+    @pytest.mark.parametrize(
+        "resolver", ["_plan_cache_lock", "_metrics_create_lock", "_char_table_lock"]
+    )
+    def test_worker_started_while_a_parent_thread_holds_a_lock(self, resolver):
+        """A worker started while another parent thread holds a repro lock
+        must not inherit it held: a fork of the threaded parent would
+        copy the lock into the child locked, and the worker's first task
+        that takes it would block until the deadline."""
+        lock = globals()[resolver]()
+        held, release = threading.Event(), threading.Event()
+
+        def hold() -> None:
+            with lock:
+                held.set()
+                release.wait(10)  # bounded, should the parent block on it
+
+        pool = ProcPool(workers=1)
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert held.wait(5)
+            assert pool.run([ProcCall(ECHO, (1,))], deadline=Deadline.after(10)) == [1]
+            release.set()
+            holder.join(5)
+            assert not holder.is_alive()
+            probe = ProcCall("tests.test_procpool:_take_lock", (resolver,))
+            assert pool.run([probe], deadline=Deadline.after(5)) == [True]
+        finally:
+            release.set()
+            holder.join(5)
+            pool.shutdown()
 
 
 class TestWorkerChaosSchedule:
@@ -420,28 +478,27 @@ class TestShmHygiene:
 
     def test_worker_forked_while_another_thread_holds_the_tracker_lock(self):
         """A parent thread holds the resource tracker's lock while the
-        tracker starts up; a worker forked in that window inherits the
-        lock held, and must still be able to attach."""
-        import multiprocessing
+        tracker starts up; a worker started in that window must still be
+        able to attach.  Starting a worker needs the tracker lock in the
+        parent as well, so the holder lets go on a short timer rather
+        than after the run."""
         from multiprocessing import resource_tracker
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        configure_pool(workers=1, start_method="fork")
+        configure_pool(workers=1)
         tracker = resource_tracker._resource_tracker
         held, release = threading.Event(), threading.Event()
 
         def hold() -> None:
             with tracker._lock:
                 held.set()
-                release.wait()
+                release.wait(0.3)
 
         with SegmentRegistry() as registry:
             segment = registry.create(4)
             segment.buf[:4] = bytes([1, 2, 3, 4])
             holder = threading.Thread(target=hold)
             holder.start()
-            held.wait()
+            assert held.wait(5)
             try:
                 probe = ProcCall(
                     "tests.test_procpool:_attach_and_sum", (segment.name,)
@@ -449,8 +506,49 @@ class TestShmHygiene:
                 got = get_pool().run([probe], deadline=Deadline.after(10))
             finally:
                 release.set()
-                holder.join()
+                holder.join(5)
+        assert not holder.is_alive()
         assert got == [10]
+
+    def test_resource_tracker_stays_silent_after_worker_attaches(self, tmp_path):
+        """Workers share the parent's resource tracker, so an attach must
+        leave the parent's registration alone: removing it makes every
+        later unlink report a ``KeyError`` from the tracker.  Checked in a
+        fresh interpreter, whose tracker reports on stderr as it exits."""
+        script = tmp_path / "attach_many.py"
+        script.write_text(textwrap.dedent('''
+            from repro.parallel import ProcCall, ProcPool
+            from repro.parallel.shm import SegmentRegistry
+
+            if __name__ == "__main__":
+                pool = ProcPool(workers=2)
+                try:
+                    with SegmentRegistry() as registry:
+                        names = []
+                        for _ in range(4):
+                            segment = registry.create(4)
+                            segment.buf[:4] = bytes([1, 2, 3, 4])
+                            names.append(segment.name)
+                        probe = "tests.test_procpool:_attach_and_sum"
+                        print(pool.run([ProcCall(probe, (n,)) for n in names]))
+                finally:
+                    pool.shutdown()
+        '''))
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), str(root)])
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=root,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[10, 10, 10, 10]"
+        assert "KeyError" not in done.stderr
+        assert "leaked shared_memory" not in done.stderr
 
     def test_unresolvable_collision_is_a_typed_error(self, monkeypatch):
         import repro.parallel.shm as shm

@@ -8,6 +8,7 @@ from repro.slp import (
     SLP,
     DocumentDatabase,
     Fingerprinter,
+    balanced_node,
     char_at,
     extract,
     figure_1_database,
@@ -102,15 +103,6 @@ class TestSLPBasics:
         with pytest.raises(SLPError):
             slp.derive(node)
 
-    def test_from_text_round_trip(self):
-        slp = SLP()
-        for text in ["a", "ab", "abc", "abracadabra"]:
-            assert slp.derive(slp.from_text(text)) == text
-
-    def test_empty_text_rejected(self):
-        with pytest.raises(SLPError):
-            SLP().from_text("")
-
     def test_size_counts_shared_nodes_once(self):
         slp = SLP()
         ab = slp.pair(slp.terminal("a"), slp.terminal("b"))
@@ -164,21 +156,21 @@ class TestAccess:
     @given(st.text(alphabet="abc", min_size=1, max_size=60), st.data())
     def test_char_at_matches_indexing(self, text, data):
         slp = SLP()
-        node = slp.from_text(text)
+        node = balanced_node(slp, text)
         position = data.draw(st.integers(0, len(text) - 1))
         assert char_at(slp, node, position) == text[position]
 
     @given(st.text(alphabet="abc", min_size=1, max_size=60), st.data())
     def test_extract_matches_slicing(self, text, data):
         slp = SLP()
-        node = slp.from_text(text)
+        node = balanced_node(slp, text)
         begin = data.draw(st.integers(0, len(text)))
         end = data.draw(st.integers(begin, len(text)))
         assert extract(slp, node, begin, end) == text[begin:end]
 
     def test_out_of_range(self):
         slp = SLP()
-        node = slp.from_text("abc")
+        node = balanced_node(slp, "abc")
         with pytest.raises(SLPError):
             char_at(slp, node, 3)
         with pytest.raises(SLPError):
@@ -186,7 +178,7 @@ class TestAccess:
 
     def test_access_on_exponential_document(self):
         slp = SLP()
-        ab = slp.from_text("ab")
+        ab = balanced_node(slp, "ab")
         node = ab
         for _ in range(50):
             node = slp.pair(node, node)
@@ -198,20 +190,20 @@ class TestAccess:
 class TestFingerprints:
     def test_equal_documents_equal_fingerprints(self):
         slp = SLP()
-        left = slp.from_text("abcabc")
-        right = slp.pair(slp.from_text("abc"), slp.from_text("abc"))
+        left = balanced_node(slp, "abcabc")
+        right = slp.pair(balanced_node(slp, "abc"), balanced_node(slp, "abc"))
         fp = Fingerprinter(slp)
         assert fp.equal(left, right)
 
     def test_different_documents_differ(self):
         slp = SLP()
         fp = Fingerprinter(slp)
-        assert not fp.equal(slp.from_text("abcd"), slp.from_text("abdc"))
-        assert not fp.equal(slp.from_text("ab"), slp.from_text("abc"))
+        assert not fp.equal(balanced_node(slp, "abcd"), balanced_node(slp, "abdc"))
+        assert not fp.equal(balanced_node(slp, "ab"), balanced_node(slp, "abc"))
 
     def test_exponential_documents(self):
         slp = SLP()
-        a = slp.from_text("ab")
+        a = balanced_node(slp, "ab")
         x = a
         for _ in range(100):
             x = slp.pair(x, x)
@@ -226,4 +218,4 @@ class TestFingerprints:
     def test_fingerprint_equality_matches_string_equality(self, s, t):
         slp = SLP()
         fp = Fingerprinter(slp)
-        assert fp.equal(slp.from_text(s), slp.from_text(t)) == (s == t)
+        assert fp.equal(balanced_node(slp, s), balanced_node(slp, t)) == (s == t)

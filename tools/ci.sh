@@ -74,6 +74,20 @@ else
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q tests/test_procpool.py
 fi
 
+echo "== process-pool repeat lane (pool + chaos fast lanes, 5 runs in a row)"
+# a worker that hangs or loses its task only now and then shows up as a
+# flake; repeating the lanes where workers really run in parallel makes
+# such a failure show up here instead of in a later unrelated change
+if [ "$USABLE_CORES" -lt 2 ]; then
+    echo "SKIP: process repeat lane needs >= 2 usable cores, have $USABLE_CORES"
+else
+    for run in 1 2 3 4 5; do
+        echo "-- repeat $run/5"
+        PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
+            tests/test_procpool.py tests/test_chaos.py -m "not slow_fuzz"
+    done
+fi
+
 echo "== regex fuzz fast lane (fixed seed, replayable byte-for-byte)"
 # the default suite already runs these hypothesis tests with a random
 # seed; this lane pins the seed so a CI failure here reproduces exactly
