@@ -7,13 +7,23 @@ Claims benchmarked:
   (Re-Pair near-logarithmic on w^k);
 * on incompressible (uniform random) documents, |S| = Θ(|D|) — no free
   lunch, as the paper notes for the worst case;
-* all builders round-trip exactly, at every size.
+* all builders round-trip exactly, at every size;
+* Re-Pair builds in near-linear time: its process CPU time over 4k → 64k
+  chars of log text fits an exponent ≤ 1.1 (``repair_exponent``, gated by
+  ``tools/check_bench_regression.py``).
 """
+
+import math
+import statistics
+import time
 
 import pytest
 
 from repro.slp import SLP, balanced_node, fibonacci_node, lz78_node, repair_node
-from repro.util import gene_sequence, random_text, repetitive_text
+from repro.util import gene_sequence, log_document, random_text, repetitive_text
+
+#: 16x growth of the ingest workload's document type
+REPAIR_SIZES = [4096, 16384, 65536]
 
 
 @pytest.mark.parametrize(
@@ -85,3 +95,39 @@ def test_c10_fibonacci_slp_is_tiny(bench):
     assert slp.length(node) == 832040  # fib(30)
     bench.benchmark.extra_info["doc_length"] = slp.length(node)
     bench.benchmark.extra_info["slp_size"] = slp.size(node)
+
+
+def test_c10_repair_scaling(bench):
+    """Re-Pair's build cost grows near-linearly (O(n log n)): the least-
+    squares exponent of process CPU time against size stays ≤ 1.1."""
+    log = log_document(2500, seed=7)
+    assert len(log) >= REPAIR_SIZES[-1]
+    cpu = []
+    for size in REPAIR_SIZES:
+        text = log[:size]
+        best = math.inf
+        for _ in range(3):
+            started = time.process_time()
+            repair_node(SLP(), text)
+            best = min(best, time.process_time() - started)
+        cpu.append(best)
+    exponent = statistics.linear_regression(
+        [math.log(size) for size in REPAIR_SIZES], [math.log(s) for s in cpu]
+    ).slope
+
+    middle = log[: REPAIR_SIZES[1]]
+
+    def run():
+        slp = SLP()
+        return slp, repair_node(slp, middle)
+
+    slp, node = bench(run, rounds=3)
+    assert slp.derive(node) == middle
+    bench.record(
+        repair_exponent=round(exponent, 3),
+        # the compare-mode exponent-drift gate watches this field
+        fitted_exponent=round(exponent, 3),
+        sizes=f"{REPAIR_SIZES[0]}..{REPAIR_SIZES[-1]}",
+        **{f"cpu_seconds_{size}": round(s, 6) for size, s in zip(REPAIR_SIZES, cpu)},
+    )
+    assert exponent <= 1.1, cpu

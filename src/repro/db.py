@@ -269,7 +269,8 @@ class SpannerDB:
 
     def add_document(self, name: str, text: str, budget=None) -> None:
         """Ingest plain text: compress (Re-Pair), rebalance, store, and
-        preprocess it for every registered spanner.
+        preprocess it for every registered spanner.  *budget* governs the
+        preprocessing, and its deadline also bounds the Re-Pair build.
 
         Atomic: if any step fails — including a preprocess failure for one
         of several registered spanners — the staged SLP nodes, the document
@@ -279,7 +280,7 @@ class SpannerDB:
         with obs.tracer().span("db.add_document", document=name, chars=len(text)):
             try:
                 with self.transaction():
-                    node = rebalance(self.slp, repair_node(self.slp, text))
+                    node = rebalance(self.slp, repair_node(self.slp, text, budget))
                     self._db.add_node(name, node)
                     for evaluator in self._spanners.values():
                         evaluator.preprocess(self.slp, node, budget)

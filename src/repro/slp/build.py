@@ -6,9 +6,10 @@ algorithms are approximate.  Provided here:
 
 * :func:`balanced_node` — the trivial strongly balanced parse (no
   compression beyond hash-consing; size O(|D|)).  The baseline.
-* :func:`repair_node` — Re-Pair-style global pair replacement: repeatedly
-  replace the most frequent adjacent digram by a fresh nonterminal.  On
-  repetitive inputs this reaches size O(log |D|)-ish.
+* :func:`repair_node` — Re-Pair global pair replacement: repeatedly
+  replace the most frequent adjacent digram by a fresh nonterminal, in
+  O(|D| log |D|) time.  On repetitive inputs this reaches size
+  O(log |D|)-ish.  The ingest builder of ``SpannerDB``.
 * :func:`lz78_node` — the LZ78 parse folded into an SLP (each phrase is
   "previous phrase + one character", which *is* an SLP production).
 * :func:`repeat_node` / :func:`power_node` — exact exponential compression
@@ -23,7 +24,7 @@ suite checks this property with hypothesis.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
 
 from repro.errors import SLPError
 from repro.slp.balance import concat_balanced
@@ -53,51 +54,168 @@ def balanced_node(slp: SLP, text: str) -> int:
     return build(0, len(text))
 
 
-def repair_node(slp: SLP, text: str) -> int:
-    """Re-Pair-style compression of *text* into an SLP node.
+def repair_node(slp: SLP, text: str, budget=None) -> int:
+    """Re-Pair compression of *text* into an SLP node, in O(n log n) time.
 
-    Repeatedly replaces the most frequent adjacent node pair (counted over
-    non-overlapping, left-to-right occurrences) with a fresh pair node until
-    no digram occurs twice; the remaining sequence is folded pairwise.
+    Each round replaces the digram (adjacent node pair) with the most
+    non-overlapping occurrences by one pair node; rounds stop once no
+    digram occurs twice, and the remaining sequence is folded pairwise.
     The result is generally *not* strongly balanced — rebalance if needed.
+
+    The choice of each round is part of the contract, so a text always
+    yields the same rules in the same order (the same node ids, also on an
+    arena shared with other documents):
+
+    * a digram's count is its number of non-overlapping occurrences — for
+      ``(a, a)`` that is ``⌊L/2⌋`` per maximal run of ``L`` copies of ``a``;
+    * the highest count wins; a tie goes to the digram whose leftmost
+      occurrence in the current sequence comes first;
+    * occurrences are replaced greedily, left to right.
+
+    The sequence is a doubly linked list over the text positions.  Every
+    digram keeps its count and its occurrences in position order, and a
+    heap keyed by ``(−count, leftmost position)`` picks the next digram
+    (Larsson and Moffat, "Off-line dictionary-based compression", Proc.
+    IEEE 2000).  A replacement only *removes* occurrences of the digrams
+    already present — every adjacency it creates involves the new node —
+    so a heap entry can only be too optimistic, and is revalidated when
+    popped.  With a *budget*, its deadline is checked once per round; no
+    steps are charged.
     """
     if not text:
         raise SLPError("SLPs derive non-empty documents")
-    sequence = [slp.terminal(ch) for ch in text]
-    while len(sequence) > 1:
-        counts: Counter[tuple[int, int]] = Counter()
-        index = 0
-        while index + 1 < len(sequence):
-            digram = (sequence[index], sequence[index + 1])
-            counts[digram] += 1
-            # skip one position on aa-runs so occurrences never overlap
-            if (
-                index + 2 < len(sequence)
-                and sequence[index + 1] == sequence[index]
-                and sequence[index + 2] == sequence[index]
-            ):
-                index += 2
+    terminals = {ch: slp.terminal(ch) for ch in dict.fromkeys(text)}
+    sym = [terminals[ch] for ch in text]  # -1 once merged into its left
+    n = len(sym)
+    ids = list(range(-1, n + 1))  # one int object per position, shared
+    prv, nxt = ids[:n], ids[2:]
+    nxt[-1] = -1
+    count: dict[tuple[int, int], int] = {}
+    occurrences: dict[tuple[int, int], list[int]] = {}
+    # maximal runs of one symbol, length >= 2: each end -> (other end, length)
+    runs: dict[int, tuple[int, int]] = {}
+
+    def record_run(start: int, end: int, length: int) -> int:
+        """Record a run at both ends; returns its non-overlapping pairs."""
+        runs[start] = (end, length)
+        runs[end] = (start, length)
+        return length // 2
+
+    start = 0
+    for pos in ids[1:n]:
+        a, b = key = sym[pos], sym[pos + 1]
+        if key in occurrences:
+            occurrences[key].append(pos)
+        else:
+            occurrences[key] = [pos]
+            count[key] = 0
+        if a != b:
+            count[key] += 1
+            start = pos + 1
+        elif pos + 2 == n or sym[pos + 2] != a:
+            count[key] += record_run(start, pos + 1, pos + 2 - start)
+    heap = []
+    for key, positions in list(occurrences.items()):
+        if count[key] >= 2:
+            heap.append((-count[key], positions[0], key))
+        else:
+            del occurrences[key]
+    heapq.heapify(heap)
+    head = dict.fromkeys(occurrences, 0)
+
+    def shrink(end: int, new_end: int, key: tuple[int, int]) -> None:
+        """Cut *end* off its run of ``key[0]``; *new_end* is next in."""
+        other, length = runs.pop(end)
+        if length > 2:
+            runs[other] = (new_end, length - 1)
+            runs[new_end] = (other, length - 1)
+        else:
+            del runs[other]
+        count[key] -= 1 - length % 2
+
+    while heap:
+        negative, first, key = heap[0]
+        live = count[key]
+        if live < 2:
+            heapq.heappop(heap)
+            del occurrences[key], head[key]
+            continue
+        x, y = key
+        positions = occurrences[key]
+        h = head[key]
+        while True:
+            pos = positions[h]
+            if sym[pos] == x and nxt[pos] >= 0 and sym[nxt[pos]] == y:
+                break
+            h += 1
+        head[key] = h
+        if (negative, first) != (-live, pos):
+            heapq.heapreplace(heap, (-live, pos, key))
+            continue
+        heapq.heappop(heap)
+        if budget is not None:
+            budget.check_deadline()
+        fresh = slp.pair(x, y)
+        # the new adjacencies: (u, fresh) at p and (fresh, v) at i
+        before: dict[int, list[int]] = {}
+        after: dict[int, list[int]] = {}
+        doubled = run_start = last = run_length = 0
+        for i in positions[h:]:
+            j = nxt[i]
+            if sym[i] != x or j < 0 or sym[j] != y:
+                continue  # stale, or overlapped by the previous replacement
+            p, q = prv[i], nxt[j]
+            joined = p >= 0 and sym[p] == fresh
+            # retire the adjacencies at p and j; the one at i is `key`
+            if x == y and not joined:  # the run of x at i is used up
+                other, _ = runs.pop(i)
+                del runs[other]
+            if p >= 0 and not joined:
+                if sym[p] == x:
+                    shrink(i, p, (x, x))
+                else:
+                    count[(sym[p], x)] -= 1
+            if q >= 0 and not x == y == sym[q]:
+                if sym[q] == y:
+                    shrink(j, q, (y, y))
+                else:
+                    count[(y, sym[q])] -= 1
+            sym[i], sym[j] = fresh, -1
+            nxt[i] = q
+            if q >= 0:
+                prv[q] = i
+            # a run of the fresh node grows while replacements abut
+            if joined:
+                run_length += 1
             else:
-                index += 1
-        if not counts:
-            break
-        digram, count = counts.most_common(1)[0]
-        if count < 2:
-            break
-        replacement = slp.pair(*digram)
-        rewritten: list[int] = []
-        index = 0
-        while index < len(sequence):
-            if (
-                index + 1 < len(sequence)
-                and (sequence[index], sequence[index + 1]) == digram
+                if run_length >= 2:
+                    doubled += record_run(run_start, last, run_length)
+                run_start, run_length = i, 1
+            last = i
+            if p >= 0:
+                before.setdefault(sym[p], []).append(p)
+            # the adjacency at i waits if q starts the next replacement
+            if q >= 0 and not (
+                sym[q] == x and nxt[q] >= 0 and sym[nxt[q]] == y
             ):
-                rewritten.append(replacement)
-                index += 2
-            else:
-                rewritten.append(sequence[index])
-                index += 1
-        sequence = rewritten
+                after.setdefault(sym[q], []).append(i)
+        if run_length >= 2:
+            doubled += record_run(run_start, last, run_length)
+        del occurrences[key], head[key], count[key]
+        # every occurrence found in this pass is still current
+        found = [((u, fresh), at) for u, at in before.items()]
+        found += [((fresh, v), at) for v, at in after.items()]
+        for new, at in found:
+            count[new] = live = doubled if new == (fresh, fresh) else len(at)
+            if live >= 2:
+                occurrences[new] = at
+                head[new] = 0
+                heapq.heappush(heap, (-live, at[0], new))
+    sequence = []
+    pos = 0
+    while pos >= 0:
+        sequence.append(sym[pos])
+        pos = nxt[pos]
     return _fold(slp, sequence)
 
 

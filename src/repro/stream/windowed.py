@@ -347,7 +347,11 @@ class WindowedSpannerStream:
         old_slp = self.slp
         fresh_slp = SLP()
         try:
-            node = rebalance(fresh_slp, repair_node(fresh_slp, full)) if full else None
+            node = (
+                rebalance(fresh_slp, repair_node(fresh_slp, full, budget))
+                if full
+                else None
+            )
             fresh = 0
             prefix = identity_entry(self._q)
             if node is not None:

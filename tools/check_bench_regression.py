@@ -88,6 +88,10 @@ OVERHEAD_CEILINGS = {
     "test_dyn1_postedit_latency_sublinear": ("incremental_exponent", 0.5),
     "test_dyn2_sealed_repeat_zero_walk": ("repeat_walk_visited", 0.0),
     "test_dyn3_append_discovery_frontier": ("walk_visited_fraction", 0.05),
+    # linear-time Re-Pair: build CPU time over 4k -> 64k chars of log text
+    # fits an exponent <= 1.1 (the quadratic builder measured ~1.3 on the
+    # ingest workload's adds)
+    "test_c10_repair_scaling": ("repair_exponent", 1.1),
 }
 
 

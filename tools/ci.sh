@@ -95,3 +95,11 @@ echo "== regex fuzz fast lane (fixed seed, replayable byte-for-byte)"
 # — keep the lane deterministic so the next such find is replayable)
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
     tests/test_robustness.py::TestRegexParserFuzz --hypothesis-seed=20260806
+
+echo "== Re-Pair differential lane (fixed seed, replayable byte-for-byte)"
+# repair_node must pick the same digram in the same order as the quadratic
+# reference in tests/test_slp_build.py, down to the node ids; the pinned
+# seed makes a tie-break divergence found here replay exactly
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q \
+    tests/test_slp_build.py::TestRepairOracle::test_property_same_arena_as_reference \
+    --hypothesis-seed=20261018
